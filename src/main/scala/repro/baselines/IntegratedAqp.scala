@@ -21,11 +21,15 @@ import repro.core.Ast._
 final class IntegratedAqp(spark: SparkSession, catalog: SampleCatalog,
                           tableRows: String => Long) {
 
-  /** Execute a supported flat query approximately; None when unsupported
-    * (caller should run it exactly).
+  /** Execute a supported flat query approximately, with the single-level
+    * form of each aggregate's `Estimator`; None when unsupported (caller
+    * should run it exactly).
     */
   def run(q: FlatQuery): Option[DataFrame] = {
-    if (q.hasExtreme) return None
+    // min/max has no unbiased estimate, and count-distinct needs a hashed
+    // sample, which this engine does not use
+    if (q.allAggs.exists(c => c.func.isExtreme || c.func == AggFuncType.CountDistinct))
+      return None
     val sources = q.from.collect { case b: BaseTable => b }
     if (sources.size != q.from.size) return None
 
@@ -48,38 +52,19 @@ final class IntegratedAqp(spark: SparkSession, catalog: SampleCatalog,
     // attach all conditions in WHERE (Catalyst pushes them into the join);
     // this is an *engine-internal* operator in SnappyData, the SQL here is
     // just our host representation.
-    val joined = fromSql
     val conds = q.joinConds.map(_.sql) ++ q.where.map(_.sqlText)
     val whereSql = if (conds.isEmpty) "" else s" WHERE ${conds.mkString(" AND ")}"
     val p = s"${sampledSrc.alias}.${SampleCatalog.ProbCol}"
 
-    def htAgg(c: AggCall): String = {
-      import AggFuncType._
-      c.func match {
-        case Count         => s"sum(1.0 / $p)"
-        case Sum           => s"sum((${c.argSql.get}) / $p)"
-        case Avg           => s"(sum((${c.argSql.get}) / $p) / sum(1.0 / $p))"
-        case VarSamp       =>
-          s"(sum((${c.argSql.get})*(${c.argSql.get}) / $p) / sum(1.0 / $p) - " +
-            s"power(sum((${c.argSql.get}) / $p) / sum(1.0 / $p), 2))"
-        case StddevSamp    =>
-          s"sqrt(sum((${c.argSql.get})*(${c.argSql.get}) / $p) / sum(1.0 / $p) - " +
-            s"power(sum((${c.argSql.get}) / $p) / sum(1.0 / $p), 2))"
-        case Percentile(qq) => s"percentile((${c.argSql.get}), $qq)"
-        case CountDistinct  => return s"count(DISTINCT (${c.argSql.get}))"
-        case Min | Max      => s"IMPOSSIBLE"
-      }
-    }
-
     val items = q.select.map { it =>
       if (it.expr.aggs.isEmpty) s"${it.expr.asInstanceOf[Raw].sqlText} AS ${it.alias}"
-      else s"${it.expr.render(htAgg)} AS ${it.alias}"
+      else s"${it.expr.render(Estimator(_).single(p))} AS ${it.alias}"
     }
     val groupSql =
       if (q.groupBy.isEmpty) "" else s" GROUP BY ${q.groupBy.map(_.sqlText).mkString(", ")}"
     val orderSql =
       if (q.orderBy.isEmpty) "" else s" ORDER BY ${q.orderBy.map(_.sql).mkString(", ")}"
-    val sql = s"SELECT ${items.mkString(", ")} FROM ${joined.mkString(" CROSS JOIN ")}" +
+    val sql = s"SELECT ${items.mkString(", ")} FROM ${fromSql.mkString(" CROSS JOIN ")}" +
       s"$whereSql$groupSql$orderSql${q.limit.map(n => s" LIMIT $n").getOrElse("")}"
     Some(spark.sql(sql))
   }

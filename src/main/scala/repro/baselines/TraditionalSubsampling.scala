@@ -35,11 +35,11 @@ object TraditionalSubsampling {
     // O(b*n) construction of the subsamples relation. rand(seed) draws a
     // fresh uniform per (tuple, subsample) row of the cross join.
     val sub =
-      s"""SELECT s.*, sids.id AS vsid
+      s"""SELECT s.*, sids.id AS sid
          |FROM $sampleView s CROSS JOIN range(1, ${b + 1}) sids
          |WHERE rand($seed) < ${ns.toDouble / n}""".stripMargin
     val perSub = spark.sql(
-      s"SELECT vsid, $aggExpr AS est, count(*) AS sz FROM ($sub) t$w GROUP BY vsid")
+      s"SELECT sid, $aggExpr AS est, count(*) AS sz FROM ($sub) t$w GROUP BY sid")
       .collect()
     val full = spark.sql(
       s"SELECT $aggExpr AS est FROM $sampleView t$w").head().getAs[Any]("est")

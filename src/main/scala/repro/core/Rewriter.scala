@@ -1,6 +1,9 @@
 package repro.core
 
+import scala.collection.immutable.ListMap
+
 import repro.core.Ast._
+import repro.core.Estimator.SizeCol
 import repro.core.SamplePlanner.{TableChoice, UseBase, UseSample}
 import repro.core.VariationalSubsampling._
 
@@ -10,21 +13,21 @@ import repro.core.VariationalSubsampling._
   * standard-SQL statement that the engine can execute to produce, per output
   * group, both the unbiased (Horvitz–Thompson) point estimate and the
   * variational-subsampling error estimate. The rewritten query has the
-  * four-level shape of the paper's Query 9:
+  * shape of the paper's Query 9 less its `n_g` window (see
+  * `Estimator.perSubsample`):
   *
-  *  L1  per-source subqueries: the sample table, aliased by the original
-  *      table name, augmented with a `vsid` subsample-id column
-  *  L2  GROUP BY (group-cols, combined-sid): per-subsample sufficient
-  *      statistics weighted by 1/sampling_prob, plus `vsub_size`
-  *  L3  window `sum(vsub_size) OVER (PARTITION BY group-cols)` giving the
-  *      group's total sample size n_g (needed to scale per-subsample
-  *      estimates of sums/counts to full-sample magnitude)
-  *  L4  GROUP BY (group-cols): point estimates from the summed statistics,
-  *      error = stddev(per-sid estimate) * sqrt(avg(sub_size)/sum(sub_size))
+  *  L1  `renderSources`: each sample table, aliased by the original table
+  *      name, with a `vsid` subsample-id column
+  *  L2  GROUP BY (group-cols, combined vsid): each aggregate's `Estimator`
+  *      statistics, weighted by 1/sampling_prob, plus the subsample size
+  *  L3  GROUP BY (group-cols): point estimates from the summed statistics,
+  *      error = stddev(per-vsid estimate) * sqrt(avg(sub_size)/sum(sub_size))
   *
   * Joined variational tables get their sid reassigned via Theorem 4's
   * h(i, j), so a single join suffices (Section 5.1). Aggregate-in-FROM
   * queries use the Query 7 `GROUP BY ..., sid` pushdown (Section 5.2).
+  * Without error columns the query is the single-level HT aggregate: no
+  * `vsid` and one aggregation.
   */
 object Rewriter {
 
@@ -34,71 +37,72 @@ object Rewriter {
   final case class Rewritten(sql: String,
                              /** output column -> error column, per aggregate item */
                              errColumns: Map[String, String],
-                             /** number of subsamples used */
+                             /** number of subsamples used (1 without error columns) */
                              b: Int)
 
   private final case class Unsupported(reason: String) extends RuntimeException(reason)
   private def bail(reason: String): Nothing = throw Unsupported(reason)
 
-  def rewrite(q: FlatQuery, choices: Map[String, TableChoice],
-              seed: Long): Either[String, Rewritten] =
+  /** Rewrite `q` onto the samples of `choices`; with `errors` off, emit the
+    * single-level form without error columns.
+    */
+  def rewrite(q: FlatQuery, choices: Map[String, TableChoice], seed: Long,
+              errors: Boolean = true): Either[String, Rewritten] =
     try {
+      val sampleRows = choices.values.flatMap(_.sample).map(_.sampleRows)
+      if (sampleRows.isEmpty) bail("no sampled source in choice; run exact instead")
+      // Shared number of subsamples across all sampled sources (perfect
+      // square so Theorem 4's h(i,j) grid partitions exactly).
+      val b = if (errors) Some(numSubsamples(sampleRows.min)) else None
       q.from match {
         case Seq(DerivedTable(inner, alias)) =>
-          scala.Right(rewriteNested(q, inner, alias, choices, seed))
+          scala.Right(rewriteNested(q, inner, alias, choices, seed, b))
         case srcs if srcs.forall(_.isInstanceOf[BaseTable]) =>
-          scala.Right(rewriteFlat(q, choices, seed))
+          scala.Right(rewriteFlat(q, choices, seed, b))
         case _ => scala.Left("unsupported source mix (derived table joined with others)")
       }
     } catch { case Unsupported(r) => scala.Left(r) }
 
-  // ------------------------------------------------------------------ flat --
+  // --------------------------------------------------------------- sources --
 
-  /** Internal per-aggregate naming of sufficient-statistic columns. */
-  private final case class AggSlots(j: Int, call: AggCall) {
-    def w   = s"a${j}_w";   def xw  = s"a${j}_xw"
-    def x2w = s"a${j}_x2w"; def pct = s"a${j}_pct"; def cd = s"a${j}_cd"
-  }
+  /** Subsample-id column that `renderSources` adds to every sample. */
+  val SidCol = "vsid"
 
-  private def rewriteFlat(q: FlatQuery, choices: Map[String, TableChoice],
-                          seed: Long): Rewritten = {
-    if (q.hasExtreme) bail("extreme statistics must be decomposed before rewriting")
-    val sources = q.from.collect { case b: BaseTable => b }
+  /** A block's sources rendered as SQL.
+    * @param sid         the joined row's subsample id, when rendered with b
+    * @param distinctTau domain fraction of the block's hashed sample
+    */
+  final case class Sources(from: String, prob: String, sid: Option[String],
+                           distinctTau: Double)
+
+  /** The FROM clause, sampling probability and subsample id of the base
+    * tables of `q` under `choices`. With `b`, every sample carries a `vsid`
+    * in [1, b]: a count-distinct block over a hashed sample partitions by
+    * the hash of the distinct column (disjoint subdomains); otherwise ids
+    * are uniform at random, fresh per query (footnote 7). Without `b`,
+    * samples are read as they are.
+    */
+  def renderSources(q: FlatQuery, choices: Map[String, TableChoice],
+                    b: Option[Int], seed: Long): Sources = {
+    val sources = q.from.collect { case t: BaseTable => t }
     val sampled = sources.filter(s => choices(s.alias).sample.isDefined)
-    if (sampled.isEmpty) bail("no sampled source in choice; run exact instead")
+    val distinctCols = q.allAggs.filter(_.func == AggFuncType.CountDistinct).flatMap(_.argSql)
+    if (distinctCols.distinct.size > 1) bail("multiple count-distinct columns in one block")
 
-    // Shared number of subsamples across all sampled sources (perfect square
-    // so Theorem 4's h(i,j) grid partitions exactly).
-    val b = numSubsamples(sampled.map(s => choices(s.alias).rows).min)
-
-    val distinctAggs = q.allAggs.filter(_.func == AggFuncType.CountDistinct)
-    val hashSidCol: Option[String] = distinctAggs.headOption.map { a =>
-      if (distinctAggs.map(_.argSql).distinct.size > 1)
-        bail("multiple count-distinct columns in one block")
-      a.argSql.get
-    }
-
-    // --- L1: per-source subqueries with a vsid column -----------------------
-    val fromSql = {
-      val rendered = sources.map { s =>
-        choices(s.alias) match {
-          case UseBase(name, _) => s"$name AS ${s.alias}"
-          case UseSample(info) =>
-            // count-distinct blocks partition by the hash of the distinct
-            // column (disjoint subdomains); others assign sid uniformly at
-            // random, fresh per query (footnote 7).
-            val sid = hashSidCol match {
-              case Some(col) if info.sampleType == SampleType.Hashed =>
-                s"(1 + pmod(hash(${col.split('.').last}), $b))"
-              case _ => sidExpr(b, seed + s.alias.hashCode)
-            }
-            s"(SELECT *, $sid AS vsid FROM ${info.sampleTable}) AS ${s.alias}"
-        }
+    val rendered = sources.map { s =>
+      (choices(s.alias), b) match {
+        case (UseBase(name, _), _)  => s"$name AS ${s.alias}"
+        case (UseSample(info), None) => s"${info.sampleTable} AS ${s.alias}"
+        case (UseSample(info), Some(b)) =>
+          val sid = distinctCols.headOption match {
+            case Some(col) if info.sampleType == SampleType.Hashed =>
+              s"(1 + pmod(hash(${col.split('.').last}), $b))"
+            case _ => sidExpr(b, seed + s.alias.hashCode)
+          }
+          s"(SELECT *, $sid AS $SidCol FROM ${info.sampleTable}) AS ${s.alias}"
       }
-      joinTree(rendered, sources.map(_.alias), q.joinConds)
     }
 
-    // --- combined sampling probability -------------------------------------
     // Hashed (universe) samples joined on their hash columns share inclusion
     // events: within such a correlation class the joint probability is
     // least(tau), not the product (Section 5.1 / Appendix E.1). Classes are
@@ -129,18 +133,18 @@ object Rewriter {
       if (cls.size == 1) s"${cls.head}.${SampleCatalog.ProbCol}"
       else s"least(${cls.map(a => s"$a.${SampleCatalog.ProbCol}").mkString(", ")})"
     } ++ otherSampled.map(a => s"$a.${SampleCatalog.ProbCol}")
-    val probSql = probParts.mkString(" * ")
 
-    val sidSql = sampled.map(s => s"${s.alias}.vsid")
-      .reduceLeft((acc, next) => hExpr(acc, next, b))
-
-    buildEstimationSql(q, fromSql, probSql, sidSql, b, choices)
+    val sid = b.map(b => sampled.map(s => s"${s.alias}.$SidCol")
+      .reduceLeft((acc, next) => hExpr(acc, next, b)))
+    val distinctTau = choices.values.collectFirst {
+      case UseSample(i) if i.sampleType == SampleType.Hashed => i.tau
+    }.getOrElse(1.0)
+    Sources(joinTree(rendered, sources.map(_.alias), q.joinConds),
+      probParts.mkString(" * "), sid, distinctTau)
   }
 
   /** Render `a JOIN b ON ... JOIN c ON ...`, attaching each equi-join
-    * condition once both of its sides are in the tree; conditions spanning
-    * not-yet-joined sources fall into the WHERE clause by the caller
-    * (none in practice for our workloads).
+    * condition once both of its sides are in the tree.
     */
   private def joinTree(rendered: Seq[String], aliases: Seq[String],
                        conds: Seq[JoinCond]): String = {
@@ -161,253 +165,145 @@ object Rewriter {
     sql
   }
 
-  /** Levels L2–L4 shared by the flat path (and by the nested inner query). */
-  private def buildEstimationSql(q: FlatQuery, fromSql: String, probSql: String,
-                                 sidSql: String, b: Int,
-                                 choices: Map[String, TableChoice]): Rewritten = {
-    val slots = q.select.flatMap(_.expr.aggs).zipWithIndex.map { case (c, j) => AggSlots(j, c) }
-    val havingSlots = q.having.toSeq.flatMap(_.aggs).zipWithIndex
-      .map { case (c, j) => AggSlots(slots.size + j, c) }
-    val allSlots = slots ++ havingSlots
-    val slotOf: Map[AggCall, AggSlots] = {
-      // identical calls share a slot; first wins
-      allSlots.groupBy(_.call).map { case (c, ss) => c -> ss.head }
-    }
+  // ------------------------------------------------------------------ flat --
 
-    val groupAliases = q.groupBy.zipWithIndex.map { case (_, i) => s"g_$i" }
-    val groupSelect  = q.groupBy.zip(groupAliases)
-      .map { case (g, a) => s"${g.sqlText} AS $a" }
+  private def whereSql(q: FlatQuery): String =
+    q.where.map(w => s" WHERE ${w.sqlText}").getOrElse("")
 
-    // --- L2 ------------------------------------------------------------------
-    val statCols = slotOf.values.toSeq.sortBy(_.j).flatMap(statSql(_, probSql))
-    val whereSql = q.where.map(w => s" WHERE ${w.sqlText}").getOrElse("")
-    val l2GroupBy = (q.groupBy.map(_.sqlText) :+ sidSql).mkString(", ")
-    val l2 =
-      s"SELECT ${(groupSelect :+ s"$sidSql AS vsid" :+ "count(*) AS vsub_size"
-        ).++(statCols).mkString(", ")} " +
-      s"FROM $fromSql$whereSql GROUP BY $l2GroupBy"
+  private def groupAliases(q: FlatQuery): Seq[String] = q.groupBy.indices.map(i => s"g_$i")
 
-    // (The paper's Query 9 carries an `n_g` window at this point to scale
-    // per-subsample estimates by the realized group size; with the expected
-    // b-scaling used here — see perSidSql — no window is needed, which also
-    // removes one sort/shuffle from every rewritten query.)
-
-    // --- L3/L4 ---------------------------------------------------------------
-    val errCols = scala.collection.mutable.LinkedHashMap.empty[String, String]
-    val outCols = Seq.newBuilder[String]
-    for (item <- q.select) {
-      if (item.expr.aggs.isEmpty) {
-        val gi = q.groupBy.indexWhere(_.sqlText == item.expr.asInstanceOf[Raw].sqlText)
-        if (gi < 0) bail(s"non-grouped plain select item: ${item.alias}")
-        outCols += s"g_$gi AS ${item.alias}"
-      } else {
-        val point  = item.expr.render(c => pointSql(slotOf(c), choices))
-        val perSid = item.expr.render(c => perSidSql(slotOf(c), b, choices))
-        val errCol = s"${item.alias}$ErrSuffix"
-        outCols += s"$point AS ${item.alias}"
-        outCols += s"(stddev_samp($perSid) * ${errScaleSql("vsub_size")}) AS $errCol"
-        errCols += item.alias -> errCol
-      }
-    }
-    val havingSql = q.having
-      .map(h => s" HAVING ${h.render(c => pointSql(slotOf(c), choices))}")
-      .getOrElse("")
-    val groupBySql =
-      if (groupAliases.isEmpty) "" else s" GROUP BY ${groupAliases.mkString(", ")}"
-    val orderSql =
-      if (q.orderBy.isEmpty) "" else s" ORDER BY ${q.orderBy.map(_.sql).mkString(", ")}"
-    val limitSql = q.limit.map(n => s" LIMIT $n").getOrElse("")
-
-    val sql = s"SELECT ${outCols.result().mkString(", ")} FROM ($l2) vt3" +
-      s"$groupBySql$havingSql$orderSql$limitSql"
-    Rewritten(sql, errCols.toMap, b)
+  /** Position in GROUP BY of a plain select item. */
+  private def groupIndex(q: FlatQuery, item: SelectItem): Int = {
+    val gi = q.groupBy.indexWhere(_.sqlText == item.expr.asInstanceOf[Raw].sqlText)
+    if (gi < 0) bail(s"non-grouped plain select item: ${item.alias}")
+    gi
   }
 
-  /** L2 sufficient statistics for one aggregate call. */
-  private def statSql(s: AggSlots, probSql: String): Seq[String] = {
-    import AggFuncType._
-    val p = s"($probSql)"
-    s.call.func match {
-      case Count =>
-        s.call.argSql match {
-          case None | Some("1") => Seq(s"sum(1.0 / $p) AS ${s.w}")
-          case Some(a) =>
-            Seq(s"sum(CASE WHEN ($a) IS NOT NULL THEN 1.0 / $p END) AS ${s.w}")
-        }
-      case Sum =>
-        Seq(s"sum((${s.call.argSql.get}) / $p) AS ${s.xw}")
-      case Avg =>
-        Seq(s"sum((${s.call.argSql.get}) / $p) AS ${s.xw}", s"sum(1.0 / $p) AS ${s.w}")
-      case VarSamp | StddevSamp =>
-        val a = s.call.argSql.get
-        Seq(s"sum(($a) / $p) AS ${s.xw}", s"sum(1.0 / $p) AS ${s.w}",
-          s"sum(($a) * ($a) / $p) AS ${s.x2w}")
-      case Percentile(qq) =>
-        Seq(s"percentile((${s.call.argSql.get}), $qq) AS ${s.pct}")
-      case CountDistinct =>
-        Seq(s"count(DISTINCT (${s.call.argSql.get})) AS ${s.cd}")
-      case Min | Max => bail("extreme statistic reached the rewriter")
-    }
-  }
-
-  /** Domain fraction tau for count-distinct: the hashed sample's parameter. */
-  private def distinctTau(choices: Map[String, TableChoice]): Double =
-    choices.values.collectFirst {
-      case UseSample(i) if i.sampleType == SampleType.Hashed => i.tau
-    }.getOrElse(1.0)
-
-  /** L4 point estimate (over the summed L2/L3 statistics). */
-  private def pointSql(s: AggSlots, choices: Map[String, TableChoice]): String = {
-    import AggFuncType._
-    s.call.func match {
-      case Count         => s"sum(${s.w})"
-      case Sum           => s"sum(${s.xw})"
-      case Avg           => s"(sum(${s.xw}) / sum(${s.w}))"
-      case VarSamp       =>
-        s"(sum(${s.x2w}) / sum(${s.w}) - power(sum(${s.xw}) / sum(${s.w}), 2))"
-      case StddevSamp    =>
-        s"sqrt(sum(${s.x2w}) / sum(${s.w}) - power(sum(${s.xw}) / sum(${s.w}), 2))"
-      case Percentile(_) => s"(sum(${s.pct} * vsub_size) / sum(vsub_size))"
-      case CountDistinct =>
-        s"(sum(${s.cd}) / CAST(${distinctTau(choices)} AS DOUBLE))"
-      case Min | Max     => bail("extreme statistic reached the rewriter")
-    }
-  }
-
-  /** L3 per-subsample estimate (one row per (group, sid)).
-    *
-    * Counts and sums scale by b — the expected subsample-to-sample factor —
-    * NOT by the realized n_g/sub_size: the realized ratio would cancel the
-    * subsample-size randomness that is part of a Bernoulli sample's count
-    * variance, collapsing the count estimator's spread to zero.
+  /** L1 + L2: one row per (group, vsid) with the group columns as `g_i`,
+    * `vsid`, the subsample size and every estimator's statistics.
     */
-  private def perSidSql(s: AggSlots, b: Int, choices: Map[String, TableChoice]): String = {
-    import AggFuncType._
-    s.call.func match {
-      case Count         => s"(${s.w} * $b)"
-      case Sum           => s"(${s.xw} * $b)"
-      case Avg           => s"(${s.xw} / ${s.w})"
-      case VarSamp       => s"(${s.x2w} / ${s.w} - power(${s.xw} / ${s.w}, 2))"
-      case StddevSamp    => s"sqrt(${s.x2w} / ${s.w} - power(${s.xw} / ${s.w}, 2))"
-      case Percentile(_) => s.pct
-      case CountDistinct =>
-        s"(${s.cd} * $b / CAST(${distinctTau(choices)} AS DOUBLE))"
-      case Min | Max     => bail("extreme statistic reached the rewriter")
+  private def variationalTable(q: FlatQuery, src: Sources,
+                               est: Iterable[Estimator]): String = {
+    val sid = src.sid.get
+    val cols = q.groupBy.zip(groupAliases(q)).map { case (g, a) => s"${g.sqlText} AS $a" } ++
+      Seq(s"$sid AS $SidCol", s"count(*) AS $SizeCol") ++ est.flatMap(_.columns(src.prob))
+    s"SELECT ${cols.mkString(", ")} FROM ${src.from}${whereSql(q)} " +
+      s"GROUP BY ${(q.groupBy.map(_.sqlText) :+ sid).mkString(", ")}"
+  }
+
+  /** The output level of a flat query over `from`, grouped by `groups`
+    * (one per GROUP BY expression): plain items, each aggregate item as
+    * `estimate` of its calls and, given `perSubsample`, its error column;
+    * then HAVING, ORDER BY and LIMIT.
+    */
+  private def outputLevel(q: FlatQuery, from: String, groups: Seq[String],
+                          estimate: AggCall => String,
+                          perSubsample: Option[AggCall => String]): Rewritten = {
+    val outCols = q.select.flatMap { item =>
+      if (item.expr.aggs.isEmpty) Seq(s"${groups(groupIndex(q, item))} AS ${item.alias}")
+      else s"${item.expr.render(estimate)} AS ${item.alias}" +: perSubsample.toSeq.map(e =>
+        s"(stddev_samp(${item.expr.render(e)}) * ${errScaleSql(SizeCol)}) " +
+          s"AS ${item.alias}$ErrSuffix")
     }
+    val havingSql = q.having.map(h => s" HAVING ${h.render(estimate)}").getOrElse("")
+    val groupBySql = if (groups.isEmpty) "" else s" GROUP BY ${groups.mkString(", ")}"
+    val sql = s"SELECT ${outCols.mkString(", ")} FROM $from" +
+      s"$groupBySql$havingSql${orderLimitSql(q)}"
+    Rewritten(sql, if (perSubsample.isEmpty) Map.empty else errColumns(q), 1)
+  }
+
+  /** Output column -> error column, for each aggregate item of `q`. */
+  private def errColumns(q: FlatQuery): Map[String, String] =
+    q.aggItems.map(i => i.alias -> s"${i.alias}$ErrSuffix").toMap
+
+  private def orderLimitSql(q: FlatQuery): String =
+    (if (q.orderBy.isEmpty) "" else s" ORDER BY ${q.orderBy.map(_.sql).mkString(", ")}") +
+      q.limit.map(n => s" LIMIT $n").getOrElse("")
+
+  private def rewriteFlat(q: FlatQuery, choices: Map[String, TableChoice],
+                          seed: Long, b: Option[Int]): Rewritten = {
+    if (q.hasExtreme) bail("extreme statistics must be decomposed before rewriting")
+    val src = renderSources(q, choices, b, seed)
+    estimates(q, src, Estimator.forQuery(q, src.distinctTau), b, errors = true)
+  }
+
+  /** The estimates of flat query `q`: over its variational table given `b`,
+    * with error columns if `errors`; else single-level over its sources.
+    */
+  private def estimates(q: FlatQuery, src: Sources, est: ListMap[AggCall, Estimator],
+                        b: Option[Int], errors: Boolean): Rewritten = b match {
+    case Some(b) =>
+      outputLevel(q, s"(${variationalTable(q, src, est.values)}) vt3", groupAliases(q),
+        est(_).point, Option.when(errors)(est(_).perSubsample(b))).copy(b = b)
+    case None =>
+      outputLevel(q, s"${src.from}${whereSql(q)}", q.groupBy.map(_.sqlText),
+        est(_).single(src.prob), None)
   }
 
   // ---------------------------------------------------------------- nested --
 
   /** Aggregate-in-FROM queries (Section 5.2). The inner query's variational
-    * table is obtained by appending `sid` to its GROUP BY (Query 7); the
-    * outer aggregates run once over the full-sample derived table (point
-    * estimate) and once per sid (error estimate), joined on the outer
-    * grouping columns.
+    * table gets `vsid` in its GROUP BY (Query 7). The outer aggregates run
+    * once over the inner point estimates (the point branch) and once per
+    * vsid over the inner per-vsid estimates (the error branch); both
+    * branches read the same inner L2 and are joined on the outer groups.
     */
   private def rewriteNested(outer: FlatQuery, inner: FlatQuery, alias: String,
-                            choices: Map[String, TableChoice], seed: Long): Rewritten = {
+                            choices: Map[String, TableChoice], seed: Long,
+                            b: Option[Int]): Rewritten = {
     if (outer.hasExtreme || inner.hasExtreme) bail("extreme statistics in nested query")
     if (inner.groupBy.isEmpty) bail("nested rewrite requires a grouped inner query")
 
-    // Rewrite the inner query (it emits point + err columns; we keep points
-    // as the derived table's columns).
-    val innerRw = rewriteFlat(inner, choices, seed)
-    val b       = innerRw.b
-
-    // Variational table of the inner query (Query 7): same flat rewrite but
-    // grouped by (groups, sid) with per-sid estimates as the column values.
-    val innerV = innerVariationalSql(inner, choices, seed, b)
-
-    val pointCols = inner.select.map(_.alias)
-    val dropErrs  = innerRw.errColumns.values.toSeq
-    val dfull = s"SELECT ${pointCols.mkString(", ")} FROM (${innerRw.sql}) ${alias}_full"
-    val _     = dropErrs // err columns of the inner query are simply not selected
+    val src = renderSources(inner, choices, b, seed)
+    val est = Estimator.forQuery(inner, src.distinctTau)
+    val innerPoint = estimates(inner, src, est, b, errors = false).sql
 
     val outerGroups  = outer.groupBy.map(_.sqlText)
-    val groupAliases = outerGroups.zipWithIndex.map { case (_, i) => s"g_$i" }
-    val gSel  = outerGroups.zip(groupAliases).map { case (g, a) => s"$g AS $a" }
-    val whereSql = outer.where.map(w => s" WHERE ${w.sqlText}").getOrElse("")
+    val outerAliases = groupAliases(outer)
+    val gSel = outerGroups.zip(outerAliases).map { case (g, a) => s"$g AS $a" }
 
-    def aggSql(call: AggCall): String = call.sqlExact
-
-    // point branch: exact outer aggregation over the derived point table
-    val pointItems = outer.select.zipWithIndex.map { case (item, i) =>
+    // point branch: exact outer aggregation over the inner point estimates
+    val pointItems = outer.select.map { item =>
       if (item.expr.aggs.isEmpty) s"${item.expr.asInstanceOf[Raw].sqlText} AS ${item.alias}"
-      else s"${item.expr.render(aggSql)} AS ${item.alias}"
+      else s"${item.expr.sqlExact} AS ${item.alias}"
     }
-    val pGroupBy = if (outerGroups.isEmpty) "" else s" GROUP BY ${outerGroups.mkString(", ")}"
-    val pBranch  = s"SELECT ${(gSel ++ pointItems.filter(_ => true)).mkString(", ")} " +
-      s"FROM ($dfull) $alias$whereSql$pGroupBy"
+    def pBranch(groupCols: Seq[String]) =
+      s"SELECT ${(groupCols ++ pointItems).mkString(", ")} FROM ($innerPoint) $alias" +
+        whereSql(outer) + (if (outerGroups.isEmpty) "" else s" GROUP BY ${outerGroups.mkString(", ")}")
 
-    // error branch: outer aggregation per sid over the derived variational
-    // table, then stddev across sids scaled by 1/sqrt(b).
-    val aggItems = outer.select.filter(_.expr.aggs.nonEmpty)
-    val perSidItems = aggItems.zipWithIndex.map { case (item, i) =>
-      s"${item.expr.render(aggSql)} AS e_$i"
-    }
-    val eGroupByCols = (outerGroups :+ "vsid").mkString(", ")
-    val eInner = s"SELECT ${(gSel :+ "vsid").++(perSidItems).mkString(", ")} " +
-      s"FROM ($innerV) $alias$whereSql GROUP BY $eGroupByCols"
-    val errAgg = aggItems.zipWithIndex.map { case (item, i) =>
-      s"(stddev_samp(e_$i) / sqrt(count(*))) AS ${item.alias}$ErrSuffix"
-    }
-    val eGroupBy = if (groupAliases.isEmpty) "" else s" GROUP BY ${groupAliases.mkString(", ")}"
-    val eBranch =
-      s"SELECT ${(groupAliases ++ errAgg).mkString(", ")} FROM ($eInner) ve$eGroupBy"
-
-    // combine
-    val errCols = aggItems.map(it => it.alias -> s"${it.alias}$ErrSuffix").toMap
-    val finalCols = outer.select.map(i => s"p.${i.alias}") ++
-      aggItems.map(i => s"e.${i.alias}$ErrSuffix")
-    val joinOn =
-      if (groupAliases.isEmpty) "ON (1 = 1)"
-      else s"ON ${groupAliases.map(g => s"p.$g = e.$g").mkString(" AND ")}"
-    val orderSql =
-      if (outer.orderBy.isEmpty) "" else s" ORDER BY ${outer.orderBy.map(_.sql).mkString(", ")}"
-    val limitSql = outer.limit.map(n => s" LIMIT $n").getOrElse("")
-    val sql = s"SELECT ${finalCols.mkString(", ")} FROM ($pBranch) p JOIN ($eBranch) e " +
-      s"$joinOn$orderSql$limitSql"
-    Rewritten(sql, errCols, b)
-  }
-
-  /** Query 7: the variational table of a grouped inner query — one row per
-    * (inner groups, sid), columns named as the inner select aliases, values
-    * being the per-sid scaled estimates.
-    */
-  private def innerVariationalSql(inner: FlatQuery, choices: Map[String, TableChoice],
-                                  seed: Long, b: Int): String = {
-    // Reuse the flat pipeline up to L3, then emit per-sid estimates grouped
-    // by (groups, sid) instead of collapsing over sids.
-    val sources = inner.from.collect { case bt: BaseTable => bt }
-    val sampled = sources.filter(s => choices(s.alias).sample.isDefined)
-    val fromSql = {
-      val rendered = sources.map { s =>
-        choices(s.alias) match {
-          case UseBase(name, _) => s"$name AS ${s.alias}"
-          case UseSample(info) =>
-            s"(SELECT *, ${sidExpr(b, seed + s.alias.hashCode)} AS vsid " +
-              s"FROM ${info.sampleTable}) AS ${s.alias}"
+    b match {
+      case None => Rewritten(pBranch(Seq.empty) + orderLimitSql(outer), Map.empty, 1)
+      case Some(b) =>
+        // error branch: outer aggregation per vsid over the inner per-vsid
+        // estimates, then stddev across vsids scaled by 1/sqrt(b).
+        val innerPerSid = inner.select.map { item =>
+          if (item.expr.aggs.isEmpty) s"g_${groupIndex(inner, item)} AS ${item.alias}"
+          else s"${item.expr.render(est(_).perSubsample(b))} AS ${item.alias}"
+        } :+ SidCol
+        val aggItems = outer.aggItems
+        val perSidItems = aggItems.zipWithIndex.map { case (item, i) =>
+          s"${item.expr.sqlExact} AS e_$i"
         }
-      }
-      joinTree(rendered, sources.map(_.alias), inner.joinConds)
-    }
-    val probSql = sampled.map(s => s"${s.alias}.${SampleCatalog.ProbCol}").mkString(" * ")
-    val sidSql  = sampled.map(s => s"${s.alias}.vsid")
-      .reduceLeft((acc, next) => hExpr(acc, next, b))
+        val eInner = s"SELECT ${(gSel :+ SidCol).++(perSidItems).mkString(", ")} " +
+          s"FROM (SELECT ${innerPerSid.mkString(", ")} " +
+          s"FROM (${variationalTable(inner, src, est.values)}) vt3) $alias${whereSql(outer)} " +
+          s"GROUP BY ${(outerGroups :+ SidCol).mkString(", ")}"
+        val errAgg = aggItems.zipWithIndex.map { case (item, i) =>
+          s"(stddev_samp(e_$i) / sqrt(count(*))) AS ${item.alias}$ErrSuffix"
+        }
+        val eGroupBy =
+          if (outerAliases.isEmpty) "" else s" GROUP BY ${outerAliases.mkString(", ")}"
+        val eBranch =
+          s"SELECT ${(outerAliases ++ errAgg).mkString(", ")} FROM ($eInner) ve$eGroupBy"
 
-    val slots = inner.select.flatMap(_.expr.aggs).zipWithIndex
-      .map { case (c, j) => AggSlots(j, c) }
-    val slotOf = slots.groupBy(_.call).map { case (c, ss) => c -> ss.head }
-    val groupSelect = inner.groupBy.map(_.sqlText)
-    val statCols = slotOf.values.toSeq.sortBy(_.j).flatMap(statSql(_, probSql))
-    val whereSql = inner.where.map(w => s" WHERE ${w.sqlText}").getOrElse("")
-    val l2 = s"SELECT ${(groupSelect :+ s"$sidSql AS vsid" :+ "count(*) AS vsub_size")
-      .++(statCols).mkString(", ")} FROM $fromSql$whereSql " +
-      s"GROUP BY ${(groupSelect :+ sidSql).mkString(", ")}"
-    val outCols = inner.select.map { item =>
-      if (item.expr.aggs.isEmpty) s"${item.expr.asInstanceOf[Raw].sqlText} AS ${item.alias}"
-      else s"${item.expr.render(c => perSidSql(slotOf(c), b, choices))} AS ${item.alias}"
+        val finalCols = outer.select.map(i => s"p.${i.alias}") ++
+          aggItems.map(i => s"e.${i.alias}$ErrSuffix")
+        val joinOn =
+          if (outerAliases.isEmpty) "ON (1 = 1)"
+          else s"ON ${outerAliases.map(g => s"p.$g = e.$g").mkString(" AND ")}"
+        val sql = s"SELECT ${finalCols.mkString(", ")} FROM (${pBranch(gSel)}) p " +
+          s"JOIN ($eBranch) e $joinOn${orderLimitSql(outer)}"
+        Rewritten(sql, errColumns(outer), b)
     }
-    s"SELECT ${(outCols :+ "vsid").mkString(", ")} FROM ($l2) vt3"
   }
 }

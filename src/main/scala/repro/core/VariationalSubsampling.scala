@@ -11,9 +11,6 @@ package repro.core
   */
 object VariationalSubsampling {
 
-  /** Column holding the subsample id in rewritten queries. */
-  val SidCol = "verdict_vsid"
-
   /** Number of subsamples for a sample of n rows: b = round(sqrt(n)),
     * rounded *down* to a perfect square so that Theorem 4's sqrt(b)-block
     * grid partitions exactly. Always >= 4.

@@ -26,7 +26,8 @@ final case class VerdictConfig(
     accuracyRequirement: Option[Double] = None,
     /** confidence level for intervals and HAC checks. */
     confidence: Double = 0.95,
-    /** include *_err columns in the output (off = transparent mode). */
+    /** include *_err columns in the output (off = transparent mode, which
+      * rewrites to the single-level estimate and estimates no error). */
     errorColumns: Boolean = true,
     /** rows-per-stratum target divisor; see DefaultPolicy. */
     plannerConfig: SamplePlanner.Config = SamplePlanner.Config(),
@@ -243,7 +244,7 @@ final class Verdict(val spark: SparkSession,
       val sub = q.copy(select = q.plainItems ++ itemsOf(bi),
         orderBy = if (plan.blocks.size == 1) q.orderBy else Seq.empty,
         limit = if (plan.blocks.size == 1) q.limit else None)
-      Rewriter.rewrite(sub, blk.choices, qseed + bi) match {
+      Rewriter.rewrite(sub, blk.choices, qseed + bi, config.errorColumns) match {
         case scala.Left(r) => return scala.Left(r)
         case scala.Right(rw) =>
           val df = spark.sql(rw.sql)
@@ -258,12 +259,10 @@ final class Verdict(val spark: SparkSession,
       }
     }
     val (df0, errCols, sqls) = acc.get
-    // project to original column order (+ error columns when configured)
-    val ordered = q.select.map(_.alias) ++
-      (if (config.errorColumns) q.select.flatMap(i => errCols.get(i.alias)) else Seq.empty)
+    // project to original column order, then error columns
+    val ordered = q.select.map(_.alias) ++ q.select.flatMap(i => errCols.get(i.alias))
     val df = df0.select(ordered.map(col): _*)
-    scala.Right(VerdictResult(df, approximate = true, Some(sqls.mkString(";\n")),
-      if (config.errorColumns) errCols else Map.empty))
+    scala.Right(VerdictResult(df, approximate = true, Some(sqls.mkString(";\n")), errCols))
   }
 
   /** High-level Accuracy Contract (Section 2.4): if the user set an accuracy

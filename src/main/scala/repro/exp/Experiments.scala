@@ -185,10 +185,10 @@ object Experiments {
 
   final case class ErrorOverheadRow(shape: String, method: String, ms: Double)
 
-  /** Latency of flat/join/nested AQP queries under: no error estimation,
-    * variational subsampling, traditional subsampling (O(b n)), and
-    * consolidated bootstrap (O(b n)) — all expressed in SQL over the same
-    * sample tables, as a middleware must.
+  /** Latency of flat/join/nested AQP queries under: no error estimation
+    * (Verdict with error columns off), variational subsampling, traditional
+    * subsampling (O(b n)), and consolidated bootstrap (O(b n)) — all
+    * expressed in SQL over the same sample tables, as a middleware must.
     */
   def errorEstimationOverhead(env: Env, b: Int = 100): Seq[ErrorOverheadRow] = {
     val spark = env.spark
@@ -198,17 +198,24 @@ object Experiments {
     def run(shape: String, method: String)(f: => Unit): Unit =
       rows += ErrorOverheadRow(shape, method, Timing.minMs(3)(f))
 
+    // "none" and "variational" run the same Verdict queries; "none" with
+    // error columns off, over the same samples and table statistics
+    val noErrors = new Verdict(spark, env.verdict.config.copy(errorColumns = false))
+    for (t <- Seq("lineitem", "orders"))
+      noErrors.registerTable(t, spark.table(t))
+    env.verdict.catalog.allSamples.foreach(noErrors.catalog.register)
+    val flatQ = "SELECT sum(l_extendedprice) AS s FROM lineitem"
+    val joinQ = "SELECT sum(l_extendedprice) AS s FROM lineitem, orders " +
+      "WHERE l_orderkey = o_orderkey"
+    val nestedQ = Workloads.tpch.find(_.name == "tq-nested").get.sql
+
     val n  = env.verdict.catalog.samplesFor("lineitem")
       .find(_.sampleType == SampleType.Uniform).get.sampleRows
     val ns = math.max(1L, n / b)
 
     // ---- flat ----
-    run("flat", "none") {
-      spark.sql(s"SELECT sum(l_extendedprice / $p) AS s FROM lineitem_uniform").collect()
-    }
-    run("flat", "variational") {
-      env.verdict.sql("SELECT sum(l_extendedprice) AS s FROM lineitem").df.collect()
-    }
+    run("flat", "none")(noErrors.sql(flatQ).df.collect())
+    run("flat", "variational")(env.verdict.sql(flatQ).df.collect())
     run("flat", "traditional") {
       TraditionalSubsampling.estimate(spark, "lineitem_uniform",
         s"sum(l_extendedprice / $p)", None, n, ns, b, n.toDouble / ns)
@@ -219,21 +226,14 @@ object Experiments {
     }
 
     // ---- join (hashed x hashed on the order key) ----
-    val joinFrom =
-      "lineitem_hashed_l_orderkey l JOIN orders_hashed_o_orderkey o " +
-        "ON l.l_orderkey = o.o_orderkey"
-    val joinProb = s"least(l.$p, o.$p)"
-    spark.sql(s"SELECT l.*, o.o_orderstatus, $joinProb AS jp FROM $joinFrom")
+    val hashed = Seq("lineitem", "orders").map(t => t -> SamplePlanner.UseSample(
+      env.verdict.catalog.samplesFor(t).find(_.sampleType == SampleType.Hashed).get)).toMap
+    val join = Rewriter.renderSources(env.verdict.parse(joinQ).toOption.get, hashed, None, 0L)
+    spark.sql(s"SELECT lineitem.*, orders.o_orderstatus, ${join.prob} AS jp FROM ${join.from}")
       .createOrReplaceTempView("fig7_join")
     val nj = spark.table("fig7_join").count()
-    run("join", "none") {
-      spark.sql(s"SELECT sum(l_extendedprice / jp) AS s FROM fig7_join").collect()
-    }
-    run("join", "variational") {
-      env.verdict.sql(
-        "SELECT sum(l_extendedprice) AS s FROM lineitem, orders " +
-          "WHERE l_orderkey = o_orderkey").df.collect()
-    }
+    run("join", "none")(noErrors.sql(joinQ).df.collect())
+    run("join", "variational")(env.verdict.sql(joinQ).df.collect())
     run("join", "traditional") {
       TraditionalSubsampling.estimate(spark, "fig7_join",
         "sum(l_extendedprice / jp)", None, nj, math.max(1L, nj / b), b,
@@ -245,15 +245,8 @@ object Experiments {
     }
 
     // ---- nested (aggregate in FROM) ----
-    run("nested", "none") {
-      spark.sql(
-        s"""SELECT avg(daily) AS a FROM
-           |(SELECT l_linenumber, sum(l_extendedprice / $p) AS daily
-           | FROM lineitem_uniform GROUP BY l_linenumber) t""".stripMargin).collect()
-    }
-    run("nested", "variational") {
-      env.verdict.sql(Workloads.tpch.find(_.name == "tq-nested").get.sql).df.collect()
-    }
+    run("nested", "none")(noErrors.sql(nestedQ).df.collect())
+    run("nested", "variational")(env.verdict.sql(nestedQ).df.collect())
     run("nested", "traditional") {
       spark.sql(
         s"""SELECT rid, avg(daily) AS est FROM

@@ -22,6 +22,23 @@ class OracleSpec extends SparkSpec {
     }
   }
 
+  test("oracle compares doubles at the reassociation bound, integers exactly") {
+    import spark.implicits._
+    val df = Seq(("a", 1.0, 1L), ("a", 2.0, 2L)).toDF("g", "x", "k")
+    val exact = "SELECT g, sum(x::DOUBLE) AS s, sum(k::BIGINT) AS n FROM t GROUP BY g"
+    // two input rows: doubles may differ by a relative 2 * 3 * 2^-53
+    Oracle.assertEquivalent(spark.sql("SELECT 'a' AS g, 3.0000000000000004D AS s, " +
+      "CAST(3 AS BIGINT) AS n"), exact, "t" -> df)
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(spark.sql("SELECT 'a' AS g, 3.000000000001D AS s, " +
+        "CAST(3 AS BIGINT) AS n"), exact, "t" -> df)
+    }
+    intercept[IllegalArgumentException] {
+      Oracle.assertEquivalent(spark.sql("SELECT 'a' AS g, 3.0D AS s, " +
+        "CAST(4 AS BIGINT) AS n"), exact, "t" -> df)
+    }
+  }
+
   test("oracle rejects mismatched column sets") {
     import spark.implicits._
     val df = Seq(("a", 1.0)).toDF("g", "x")

@@ -148,6 +148,23 @@ class BaselinesSpec extends SparkSpec {
     val exactJ = spark.sql("SELECT count(*) AS c FROM lineitem_s, orders_s " +
       "WHERE l_orderkey = o_orderkey").head().getLong(0)
     assert(math.abs(est - exactJ) / exactJ < 0.25, s"$est vs $exactJ")
+    // the single-level estimate Verdict emits with error columns off
+    val noErrors = new Verdict(spark, VerdictConfig(budgetFraction = 1.0, tau = 0.2,
+      errorColumns = false))
+    noErrors.registerTable("bl_li", TestData.li)
+    noErrors.createSample("bl_li", SampleType.Uniform)
+    val sq = "SELECT l_returnflag, count(*) AS c, sum(l_quantity) AS s, " +
+      "avg(l_extendedprice) AS a FROM bl_li GROUP BY l_returnflag"
+    val viaVerdict = noErrors.sql(sq)
+    assert(viaVerdict.approximate, viaVerdict.notes)
+    val viaIntegrated = new IntegratedAqp(spark, noErrors.catalog,
+      t => noErrors.tableStats(t).map(_.rows).getOrElse(0L)).run(noErrors.parse(sq).toOption.get)
+    def byFlag(df: org.apache.spark.sql.DataFrame) = df.collect().map(r =>
+      r.getString(0) -> Seq("c", "s", "a").map(r.getAs[Any](_).toString.toDouble)).toMap
+    val (v1, i1) = (byFlag(viaVerdict.df), byFlag(viaIntegrated.get))
+    assert(v1.keySet == i1.keySet)
+    for ((g, vs) <- v1; (x, y) <- vs.zip(i1(g)))
+      assert(math.abs(x - y) <= 1e-9 * math.abs(y), s"$g: verdict $x vs integrated $y")
   }
 
   test("integrated AQP declines extreme statistics and unsupported shapes") {
@@ -157,5 +174,8 @@ class BaselinesSpec extends SparkSpec {
     val q = v.parse("SELECT max(l_quantity) AS m, avg(l_quantity) AS a " +
       "FROM lineitem_s").toOption.get
     assert(integrated.run(q).isEmpty)
+    // count-distinct has no unbiased form without a hashed sample
+    val cd = v.parse("SELECT count(distinct l_orderkey) AS cd FROM lineitem_s").toOption.get
+    assert(integrated.run(cd).isEmpty)
   }
 }

@@ -209,6 +209,29 @@ class RewriterSpec extends SparkSpec {
     assert(r.df.count() == 3, "all three return flags must be present")
   }
 
+  test("nested query over hashed x hashed samples: error on the flat query's scale") {
+    // the inner query's per-vsid estimates must use the join's least(tau)
+    // probability, as its point estimates do; a product of the two
+    // probabilities would inflate them, and the error, by 1/tau
+    val hashed = Seq("lineitem_s", "orders_s").map { t =>
+      t -> (SamplePlanner.UseSample(vSampled.catalog.samplesFor(t)
+        .find(_.sampleType == SampleType.Hashed).get): SamplePlanner.TableChoice)
+    }.toMap
+    def estimate(sql: String): (Double, Double) = {
+      val rw = Rewriter.rewrite(vSampled.parse(sql).toOption.get, hashed, seed = 5)
+        .fold(r => fail(r), identity)
+      val row = spark.sql(rw.sql).head()
+      (row.getAs[Double]("s"), row.getAs[Double]("s_err"))
+    }
+    val join = "FROM lineitem_s, orders_s WHERE l_orderkey = o_orderkey"
+    val (flat, flatErr) = estimate(s"SELECT sum(l_extendedprice) AS s $join")
+    val (nested, nestedErr) = estimate("SELECT sum(g) AS s FROM (SELECT o_orderstatus, " +
+      s"sum(l_extendedprice) AS g $join GROUP BY o_orderstatus) t")
+    assert(math.abs(nested - flat) <= 1e-9 * flat, s"$nested vs $flat")
+    val ratio = nestedErr / flatErr
+    assert(ratio >= 0.5 && ratio <= 2, s"nested err $nestedErr vs flat err $flatErr")
+  }
+
   test("joined samples: estimates within 30% at tau=0.1 (hashed x hashed)") {
     val q = "SELECT sum(l_extendedprice) AS s FROM lineitem_s, orders_s " +
       "WHERE l_orderkey = o_orderkey"

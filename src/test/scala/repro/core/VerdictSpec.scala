@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.{SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec, SynthData}
 
 /** The middleware facade: pass-through behaviour, extreme-statistic
   * decomposition (Section 2.2), HAC (Section 2.4), transparent mode, and
@@ -92,6 +92,17 @@ class VerdictSpec extends SparkSpec {
     assert(r.approximate)
     assert(r.df.columns.toSeq == Seq("g", "s"))
     assert(r.errColumns.isEmpty)
+    // the single-level form at tau=1: exact answers, no subsamples
+    val nested = v.sql("SELECT avg(s) AS a, count(*) AS c FROM " +
+      "(SELECT g, sum(x) AS s, avg(x) AS m FROM tm_t GROUP BY g) t WHERE m > 0")
+    assert(nested.approximate, nested.notes)
+    for (res <- Seq(r, nested); sql = res.rewrittenSql.get)
+      assert(!sql.contains("vsid") && !sql.contains("stddev_samp"), sql)
+    Oracle.assertEquivalent(r.df,
+      "SELECT g::INTEGER AS g, sum(x::DOUBLE) AS s FROM tm_t GROUP BY g", "tm_t" -> tiny)
+    Oracle.assertEquivalent(nested.df,
+      "SELECT avg(s) AS a, count(*) AS c FROM (SELECT g, sum(x::DOUBLE) AS s, " +
+        "avg(x::DOUBLE) AS m FROM tm_t GROUP BY g) t WHERE m > 0", "tm_t" -> tiny)
   }
 
   test("error columns are present by default and named <alias>_err") {
