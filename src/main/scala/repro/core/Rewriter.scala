@@ -9,10 +9,10 @@ import repro.core.VariationalSubsampling._
 
 /** The AQP Rewriter (Sections 4, 5 and Appendix G).
   *
-  * Given a supported query and a per-source table choice, emits a single
-  * standard-SQL statement that the engine can execute to produce, per output
-  * group, both the unbiased (Horvitz–Thompson) point estimate and the
-  * variational-subsampling error estimate. The rewritten query has the
+  * Given a supported query and the tables each of its blocks reads, emits a
+  * single standard-SQL statement that the engine can execute to produce,
+  * per output group, both the unbiased (Horvitz–Thompson) point estimate and
+  * the variational-subsampling error estimate. Each sampled part has the
   * shape of the paper's Query 9 less its `n_g` window (see
   * `Estimator.perSubsample`):
   *
@@ -28,6 +28,20 @@ import repro.core.VariationalSubsampling._
   * queries use the Query 7 `GROUP BY ..., sid` pushdown (Section 5.2).
   * Without error columns the query is the single-level HT aggregate: no
   * `vsid` and one aggregation.
+  *
+  * This is the only place partial answers are combined. A query's parts are
+  * its sampled blocks, its exact blocks (`FlatQuery.sqlExact` on the base
+  * tables: blocks the planner left there and the min/max items of Section
+  * 2.2) and, for an aggregate-in-FROM query with errors, its point and error
+  * branches. Every part but the error branch applies the query's HAVING, and
+  * every part emits the GROUP BY keys as `g_i`:
+  *
+  *    SELECT t0.g_0 AS <key item>, <items>, <items>_err
+  *    FROM (part 0) t0 JOIN (part 1) t1 ON t0.g_0 <=> t1.g_0 AND ...
+  *    ORDER BY ... LIMIT ...
+  *
+  * (a CROSS JOIN without GROUP BY). A query with one part is that part: its
+  * select items in the query's order, each followed by its error column.
   */
 object Rewriter {
 
@@ -43,25 +57,75 @@ object Rewriter {
   private final case class Unsupported(reason: String) extends RuntimeException(reason)
   private def bail(reason: String): Nothing = throw Unsupported(reason)
 
+  /** Some aggregate items of a query and the tables they are computed on.
+    * A block that reads no sample is computed exactly on the base tables.
+    */
+  final case class Block(items: Seq[SelectItem], choices: Map[String, TableChoice])
+
   /** Rewrite `q` onto the samples of `choices`; with `errors` off, emit the
     * single-level form without error columns.
     */
   def rewrite(q: FlatQuery, choices: Map[String, TableChoice], seed: Long,
               errors: Boolean = true): Either[String, Rewritten] =
+    rewritePlan(q, Seq(Block(q.aggItems, choices)), seed, errors)
+
+  /** Rewrite `q`, whose aggregate items the `blocks` share out, as one
+    * statement joining the blocks' parts; block i draws its subsample ids
+    * from `seed + i`.
+    */
+  def rewritePlan(q: FlatQuery, blocks: Seq[Block], seed: Long,
+                  errors: Boolean): Either[String, Rewritten] =
     try {
-      val sampleRows = choices.values.flatMap(_.sample).map(_.sampleRows)
-      if (sampleRows.isEmpty) bail("no sampled source in choice; run exact instead")
-      // Shared number of subsamples across all sampled sources (perfect
-      // square so Theorem 4's h(i,j) grid partitions exactly).
-      val b = if (errors) Some(numSubsamples(sampleRows.min)) else None
-      q.from match {
-        case Seq(DerivedTable(inner, alias)) =>
-          scala.Right(rewriteNested(q, inner, alias, choices, seed, b))
-        case srcs if srcs.forall(_.isInstanceOf[BaseTable]) =>
-          scala.Right(rewriteFlat(q, choices, seed, b))
-        case _ => scala.Left("unsupported source mix (derived table joined with others)")
+      val keys = q.groupBy.zip(groupAliases(q)).map { case (g, a) => SelectItem(g, a) }
+      val parts = blocks.zipWithIndex.flatMap { case (blk, i) =>
+        partsOf(q.copy(select = keys ++ blk.items, orderBy = Seq.empty, limit = None),
+          blk.choices, seed + i, errors)
       }
+      // a single part answers q alone: render it with q's own select list,
+      // ORDER BY and LIMIT
+      scala.Right(
+        if (parts.size == 1) partsOf(q, blocks.head.choices, seed, errors).head
+        else joinParts(q, parts))
     } catch { case Unsupported(r) => scala.Left(r) }
+
+  /** The parts computing `q` on `choices`: one for an exact or flat query;
+    * a point and an error part for an aggregate-in-FROM query with errors.
+    */
+  private def partsOf(q: FlatQuery, choices: Map[String, TableChoice], seed: Long,
+                      errors: Boolean): Seq[Rewritten] = {
+    val sampleRows = choices.values.flatMap(_.sample).map(_.sampleRows)
+    if (sampleRows.isEmpty) return Seq(Rewritten(q.sqlExact, Map.empty, 1))
+    // Shared number of subsamples across all sampled sources (perfect
+    // square so Theorem 4's h(i,j) grid partitions exactly).
+    val b = if (errors) Some(numSubsamples(sampleRows.min)) else None
+    q.from match {
+      case Seq(DerivedTable(inner, alias)) => rewriteNested(q, inner, alias, choices, seed, b)
+      case srcs if srcs.forall(_.isInstanceOf[BaseTable]) =>
+        Seq(rewriteFlat(q, choices, seed, b))
+      case _ => bail("unsupported source mix (derived table joined with others)")
+    }
+  }
+
+  /** One statement over `parts`, each emitting `g_i` for every GROUP BY key
+    * of `q`: joined null-safely on those keys (cross-joined without GROUP
+    * BY), then the select items, their error columns, ORDER BY and LIMIT.
+    */
+  private def joinParts(q: FlatQuery, parts: Seq[Rewritten]): Rewritten = {
+    val keys = groupAliases(q)
+    val from = parts.zipWithIndex.map { case (p, i) =>
+      val t = s"(${p.sql}) t$i"
+      if (i == 0) t
+      else if (keys.isEmpty) s" CROSS JOIN $t"
+      else s" JOIN $t ON ${keys.map(g => s"t0.$g <=> t$i.$g").mkString(" AND ")}"
+    }.mkString
+    val errs = parts.flatMap(_.errColumns).toMap
+    val cols = q.select.map { item =>
+      if (item.expr.aggs.isEmpty) s"t0.g_${groupIndex(q, item)} AS ${item.alias}"
+      else item.alias
+    } ++ q.aggItems.flatMap(i => errs.get(i.alias))
+    Rewritten(s"SELECT ${cols.mkString(", ")} FROM $from${orderLimitSql(q)}", errs,
+      parts.map(_.b).max)
+  }
 
   // --------------------------------------------------------------- sources --
 
@@ -244,13 +308,13 @@ object Rewriter {
 
   /** Aggregate-in-FROM queries (Section 5.2). The inner query's variational
     * table gets `vsid` in its GROUP BY (Query 7). The outer aggregates run
-    * once over the inner point estimates (the point branch) and once per
-    * vsid over the inner per-vsid estimates (the error branch); both
-    * branches read the same inner L2 and are joined on the outer groups.
+    * once over the inner point estimates (the point part, which applies the
+    * outer HAVING) and, given `b`, once per vsid over the inner per-vsid
+    * estimates (the error part); both parts read the same inner L2.
     */
   private def rewriteNested(outer: FlatQuery, inner: FlatQuery, alias: String,
                             choices: Map[String, TableChoice], seed: Long,
-                            b: Option[Int]): Rewritten = {
+                            b: Option[Int]): Seq[Rewritten] = {
     if (outer.hasExtreme || inner.hasExtreme) bail("extreme statistics in nested query")
     if (inner.groupBy.isEmpty) bail("nested rewrite requires a grouped inner query")
 
@@ -258,33 +322,32 @@ object Rewriter {
     val est = Estimator.forQuery(inner, src.distinctTau)
     val innerPoint = estimates(inner, src, est, b, errors = false).sql
 
-    val outerGroups  = outer.groupBy.map(_.sqlText)
-    val outerAliases = groupAliases(outer)
-    val gSel = outerGroups.zip(outerAliases).map { case (g, a) => s"$g AS $a" }
-
-    // point branch: exact outer aggregation over the inner point estimates
-    val pointItems = outer.select.map { item =>
-      if (item.expr.aggs.isEmpty) s"${item.expr.asInstanceOf[Raw].sqlText} AS ${item.alias}"
-      else s"${item.expr.sqlExact} AS ${item.alias}"
-    }
-    def pBranch(groupCols: Seq[String]) =
-      s"SELECT ${(groupCols ++ pointItems).mkString(", ")} FROM ($innerPoint) $alias" +
-        whereSql(outer) + (if (outerGroups.isEmpty) "" else s" GROUP BY ${outerGroups.mkString(", ")}")
+    val outerGroups = outer.groupBy.map(_.sqlText)
+    val groupBySql =
+      if (outerGroups.isEmpty) "" else s" GROUP BY ${outerGroups.mkString(", ")}"
+    val havingSql = outer.having.map(h => s" HAVING ${h.sqlExact}").getOrElse("")
+    // point part: exact outer aggregation over the inner point estimates
+    val point = Rewritten(
+      s"SELECT ${outer.select.map(i => s"${i.expr.sqlExact} AS ${i.alias}").mkString(", ")} " +
+        s"FROM ($innerPoint) $alias${whereSql(outer)}$groupBySql$havingSql" +
+        orderLimitSql(outer), Map.empty, 1)
 
     b match {
-      case None => Rewritten(pBranch(Seq.empty) + orderLimitSql(outer), Map.empty, 1)
+      case None => Seq(point)
       case Some(b) =>
-        // error branch: outer aggregation per vsid over the inner per-vsid
+        // error part: outer aggregation per vsid over the inner per-vsid
         // estimates, then stddev across vsids scaled by 1/sqrt(b).
         val innerPerSid = inner.select.map { item =>
           if (item.expr.aggs.isEmpty) s"g_${groupIndex(inner, item)} AS ${item.alias}"
           else s"${item.expr.render(est(_).perSubsample(b))} AS ${item.alias}"
         } :+ SidCol
+        val outerAliases = groupAliases(outer)
         val aggItems = outer.aggItems
-        val perSidItems = aggItems.zipWithIndex.map { case (item, i) =>
-          s"${item.expr.sqlExact} AS e_$i"
-        }
-        val eInner = s"SELECT ${(gSel :+ SidCol).++(perSidItems).mkString(", ")} " +
+        val perSidItems = outerGroups.zip(outerAliases).map { case (g, a) => s"$g AS $a" } ++
+          Seq(SidCol) ++ aggItems.zipWithIndex.map { case (item, i) =>
+            s"${item.expr.sqlExact} AS e_$i"
+          }
+        val eInner = s"SELECT ${perSidItems.mkString(", ")} " +
           s"FROM (SELECT ${innerPerSid.mkString(", ")} " +
           s"FROM (${variationalTable(inner, src, est.values)}) vt3) $alias${whereSql(outer)} " +
           s"GROUP BY ${(outerGroups :+ SidCol).mkString(", ")}"
@@ -293,17 +356,8 @@ object Rewriter {
         }
         val eGroupBy =
           if (outerAliases.isEmpty) "" else s" GROUP BY ${outerAliases.mkString(", ")}"
-        val eBranch =
-          s"SELECT ${(outerAliases ++ errAgg).mkString(", ")} FROM ($eInner) ve$eGroupBy"
-
-        val finalCols = outer.select.map(i => s"p.${i.alias}") ++
-          aggItems.map(i => s"e.${i.alias}$ErrSuffix")
-        val joinOn =
-          if (outerAliases.isEmpty) "ON (1 = 1)"
-          else s"ON ${outerAliases.map(g => s"p.$g = e.$g").mkString(" AND ")}"
-        val sql = s"SELECT ${finalCols.mkString(", ")} FROM (${pBranch(gSel)}) p " +
-          s"JOIN ($eBranch) e $joinOn${orderLimitSql(outer)}"
-        Rewritten(sql, errColumns(outer), b)
+        Seq(point, Rewritten(s"SELECT ${(outerAliases ++ errAgg).mkString(", ")} " +
+          s"FROM ($eInner) ve$eGroupBy", errColumns(outer), b))
     }
   }
 }

@@ -23,9 +23,21 @@ object SampleCreator {
   def hashUnitExpr(cols: Seq[String]): String =
     s"(pmod(hash(${cols.mkString(", ")}), $HashBuckets) / $HashBuckets.0)"
 
+  /** Default seed of the uniform sampler's `rand`. */
+  private val UniformSeed = 7L
+
+  /** Create one sample of `sampleType`; `seed` drives the uniform sampler. */
+  def create(df: DataFrame, baseTable: String, sampleType: SampleType,
+             columns: Seq[String], tau: Double,
+             seed: Long = UniformSeed): (DataFrame, SampleInfo) = sampleType match {
+    case SampleType.Uniform    => uniform(df, baseTable, tau, seed)
+    case SampleType.Hashed     => hashed(df, baseTable, columns, tau)
+    case SampleType.Stratified => stratified(df, baseTable, columns, tau)
+  }
+
   /** Uniform (Bernoulli) sample: each tuple kept independently w.p. tau. */
   def uniform(df: DataFrame, baseTable: String, tau: Double,
-              seed: Long = 7): (DataFrame, SampleInfo) = {
+              seed: Long = UniformSeed): (DataFrame, SampleInfo) = {
     require(tau > 0 && tau <= 1, s"tau out of (0,1]: $tau")
     val s = df.where(rand(seed) < tau).withColumn(ProbCol, lit(tau))
     val info = SampleInfo(baseTable, s"${baseTable}_uniform", SampleType.Uniform,

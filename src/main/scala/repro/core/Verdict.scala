@@ -83,12 +83,8 @@ final class Verdict(val spark: SparkSession,
   def createSample(baseTable: String, sampleType: SampleType,
                    columns: Seq[String] = Seq.empty,
                    tau: Double = config.tau, cache: Boolean = true): SampleInfo = {
-    val df = spark.table(baseTable)
-    val (sdf, info) = sampleType match {
-      case SampleType.Uniform    => SampleCreator.uniform(df, baseTable, tau, config.seed)
-      case SampleType.Hashed     => SampleCreator.hashed(df, baseTable, columns, tau)
-      case SampleType.Stratified => SampleCreator.stratified(df, baseTable, columns, tau)
-    }
+    val (sdf, info) = SampleCreator.create(spark.table(baseTable), baseTable, sampleType,
+      columns, tau, config.seed)
     SampleCreator.registerSample(spark, catalog, sdf, info, cache)
     info
   }
@@ -142,7 +138,6 @@ final class Verdict(val spark: SparkSession,
       case scala.Left(reason) => passthrough(query, s"unsupported: $reason")
       case scala.Right(q) =>
         if (q.allAggs.isEmpty) passthrough(query, "no aggregates")
-        else if (q.hasExtreme) decomposed(query, q, qseed)
         else approximate(query, q, qseed)
     }
   }
@@ -150,48 +145,43 @@ final class Verdict(val spark: SparkSession,
   private def passthrough(query: String, note: String): VerdictResult =
     VerdictResult(spark.sql(query), approximate = false, None, Map.empty, note)
 
-  /** Section 2.2: split extreme (min/max) and mean-like aggregates; compute
-    * the extreme part exactly and the mean-like part approximately, then
-    * join on the grouping columns.
+  /** Plan the mean-like items on samples, add the extreme (min/max) items as
+    * one more block on the base tables (Section 2.2), and run the one
+    * statement the rewriter makes of the blocks.
     */
-  private def decomposed(query: String, q: FlatQuery, qseed: Long): VerdictResult = {
+  private def approximate(query: String, q: FlatQuery, qseed: Long): VerdictResult = {
     val (extremeItems, meanItems) =
       q.aggItems.partition(_.expr.aggs.exists(_.func.isExtreme))
-    if (meanItems.isEmpty) return passthrough(query, "extreme-only aggregates")
+    if (meanItems.isEmpty && extremeItems.nonEmpty)
+      return passthrough(query, "extreme-only aggregates")
     if (extremeItems.exists(_.expr.aggs.exists(!_.func.isExtreme)))
       return passthrough(query, "mixed extreme/mean-like item")
+    val sources = planningSources(q) match {
+      case scala.Left(reason) => return passthrough(query, reason)
+      case scala.Right(s)     => s
+    }
 
-    val qExact = q.copy(select = q.plainItems ++ extremeItems,
-      having = None, orderBy = Seq.empty, limit = None)
-    val qAqp   = q.copy(select = q.plainItems ++ meanItems)
-    val exact  = spark.sql(qExact.sqlExact)
-    val approx = approximate(query, qAqp, qseed)
-    if (!approx.approximate) return passthrough(query, "AQP infeasible for mean-like part")
-
-    val groupCols = q.plainItems.map(_.alias)
-    val joined =
-      if (groupCols.isEmpty) approx.df.crossJoin(exact)
-      else approx.df.join(exact, groupCols)
-    val outCols = q.select.map(_.alias) ++ approx.errColumns.values.toSeq
-    VerdictResult(joined.select(outCols.map(col): _*), approximate = true,
-      approx.rewrittenSql, approx.errColumns, "decomposed extreme statistics")
-  }
-
-  private def approximate(query: String, q: FlatQuery, qseed: Long): VerdictResult = {
-    val sourcesE = planningSources(q)
-    if (sourcesE.isLeft) return passthrough(query, sourcesE.swap.toOption.get)
-    val sources = sourcesE.toOption.get
-
-    val groupCols = q.groupBy.map(_.sqlText)
-    val planOpt = SamplePlanner.plan(q.allAggs, sources, groupCols,
-      config.plannerConfig.copy(budgetFraction = config.budgetFraction))
-    planOpt match {
+    val aggs = q.copy(select = q.plainItems ++ meanItems).allAggs
+    SamplePlanner.plan(aggs, sources, q.groupBy.map(_.sqlText),
+      config.plannerConfig.copy(budgetFraction = config.budgetFraction)) match {
       case None => passthrough(query, "no feasible sample plan")
       case Some(plan) =>
-        val result = executePlan(q, plan, qseed)
-        result match {
+        // each block computes the items whose aggregates it owns
+        val blocks = plan.blocks.map { blk =>
+          val blockAggs = blk.aggIdxs.map(aggs)
+          Rewriter.Block(meanItems.filter(_.expr.aggs.forall(blockAggs.contains)), blk.choices)
+        }
+        if (!meanItems.forall(i => blocks.exists(_.items.contains(i))))
+          return passthrough(query,
+            "rewrite failed: select item mixes aggregates from different sample plans")
+        val extremeBlock =
+          Option.when(extremeItems.nonEmpty)(Rewriter.Block(extremeItems, Map.empty))
+        Rewriter.rewritePlan(q, blocks ++ extremeBlock, qseed, config.errorColumns) match {
           case scala.Left(reason) => passthrough(query, s"rewrite failed: $reason")
-          case scala.Right(r)     => hacCheck(query, r)
+          case scala.Right(rw) =>
+            hacCheck(query, VerdictResult(spark.sql(rw.sql), approximate = true,
+              Some(rw.sql), rw.errColumns,
+              if (extremeItems.isEmpty) "" else "decomposed extreme statistics"))
         }
     }
   }
@@ -222,52 +212,10 @@ final class Verdict(val spark: SparkSession,
     else scala.Right(infos)
   }
 
-  /** Execute each consolidated block's rewritten SQL and join the results
-    * on the grouping columns.
-    */
-  private def executePlan(q: FlatQuery, plan: Plan,
-                          qseed: Long): Either[String, VerdictResult] = {
-    val aggs = q.allAggs
-    // map each block to the select items whose aggregates it owns
-    val itemsOf: Map[Int, Seq[SelectItem]] = plan.blocks.zipWithIndex.map {
-      case (blk, bi) =>
-        val blockAggs = blk.aggIdxs.map(aggs)
-        bi -> q.aggItems.filter(it => it.expr.aggs.forall(blockAggs.contains))
-    }.toMap
-    // items whose aggregates straddle blocks are unsupported; fall back
-    val covered = itemsOf.values.flatten.toSet
-    if (!q.aggItems.forall(covered.contains))
-      return scala.Left("select item mixes aggregates from different sample plans")
-
-    var acc: Option[(DataFrame, Map[String, String], Seq[String])] = None
-    for ((blk, bi) <- plan.blocks.zipWithIndex) {
-      val sub = q.copy(select = q.plainItems ++ itemsOf(bi),
-        orderBy = if (plan.blocks.size == 1) q.orderBy else Seq.empty,
-        limit = if (plan.blocks.size == 1) q.limit else None)
-      Rewriter.rewrite(sub, blk.choices, qseed + bi, config.errorColumns) match {
-        case scala.Left(r) => return scala.Left(r)
-        case scala.Right(rw) =>
-          val df = spark.sql(rw.sql)
-          acc = acc match {
-            case None => Some((df, rw.errColumns, Seq(rw.sql)))
-            case Some((prev, errs, sqls)) =>
-              val groupCols = q.plainItems.map(_.alias)
-              val joined = if (groupCols.isEmpty) prev.crossJoin(df)
-                           else prev.join(df, groupCols)
-              Some((joined, errs ++ rw.errColumns, sqls :+ rw.sql))
-          }
-      }
-    }
-    val (df0, errCols, sqls) = acc.get
-    // project to original column order, then error columns
-    val ordered = q.select.map(_.alias) ++ q.select.flatMap(i => errCols.get(i.alias))
-    val df = df0.select(ordered.map(col): _*)
-    scala.Right(VerdictResult(df, approximate = true, Some(sqls.mkString(";\n")), errCols))
-  }
-
   /** High-level Accuracy Contract (Section 2.4): if the user set an accuracy
     * requirement and any estimated relative error violates it, rerun the
-    * original query exactly.
+    * original query exactly. A kept answer is returned as the rows already
+    * collected for the check, so collecting it runs no Spark job.
     */
   private def hacCheck(query: String, r: VerdictResult): VerdictResult =
     config.accuracyRequirement match {
@@ -287,6 +235,6 @@ final class Verdict(val spark: SparkSession,
         }
         if (violated)
           passthrough(query, s"HAC violated (> $maxRelErr rel err): exact rerun")
-        else r
+        else r.copy(df = spark.createDataFrame(java.util.Arrays.asList(rows: _*), r.df.schema))
     }
 }
